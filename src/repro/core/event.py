@@ -111,9 +111,17 @@ def spatial_class_of(where: SpatialEntity) -> SpatialClass:
     raise ReproError(f"not a spatial entity: {where!r}")
 
 
+_NO_ATTRIBUTES: Mapping[str, object] = MappingProxyType({})
+
+
 def freeze_attributes(attributes: Mapping[str, object] | None) -> Mapping[str, object]:
-    """Read-only view of an attribute mapping (``V`` in the paper)."""
-    return MappingProxyType(dict(attributes or {}))
+    """Read-only view of an attribute mapping (``V`` in the paper).
+
+    Every empty mapping freezes to one shared empty view.
+    """
+    if not attributes:
+        return _NO_ATTRIBUTES
+    return MappingProxyType(dict(attributes))
 
 
 @dataclass(frozen=True)

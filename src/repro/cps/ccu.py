@@ -108,10 +108,16 @@ class ControlUnit(ObserverComponent):
         """Accept a CP instance from a sink or a cyber instance from a
         peer CCU (never our own — avoids self-feedback loops).
 
-        Arrivals are coalesced per tick: the bus delivers instances one
-        callback at a time, so they buffer in the observer inbox and are
-        ingested as one batch at
+        Arrivals are coalesced per tick: they buffer in the observer
+        inbox and are ingested as one batch at
         :data:`~repro.sim.kernel.PRIORITY_INGEST` later the same tick.
+        The bus delivers a tick's consecutive publishes as one batch
+        (see :mod:`repro.cps.bus`), so that ingest runs after all of
+        them, not between two deliveries: within a tick, this CCU's
+        ``ccu.receive`` trace records come before the ``instance.emit``
+        records they lead to.  Each CCU's matches are unchanged, since
+        one :meth:`~repro.detect.engine.DetectionEngine.submit_batch`
+        equals sequential submits at the same tick.
         """
         if instance.observer == self.observer_id:
             return

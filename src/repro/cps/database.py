@@ -17,6 +17,7 @@ only once that delay has elapsed.
 from __future__ import annotations
 
 from bisect import insort
+from operator import itemgetter
 from typing import Iterable
 
 from repro.core.errors import DatabaseError
@@ -27,6 +28,8 @@ from repro.core.time_model import TimeInterval, TimePoint
 from repro.sim.kernel import Simulator
 
 __all__ = ["DatabaseServer"]
+
+_visible_from = itemgetter(0)
 
 
 class DatabaseServer:
@@ -58,11 +61,18 @@ class DatabaseServer:
         Returns:
             ``True`` if stored, ``False`` when the key was a duplicate.
         """
-        if instance.key in self._keys:
+        key = instance.key
+        if key in self._keys:
             return False
-        self._keys.add(instance.key)
+        self._keys.add(key)
         visible_from = self.sim.tick + self.transfer_delay
-        insort(self._rows, (visible_from, instance), key=lambda row: row[0])
+        rows = self._rows
+        if not rows or rows[-1][0] <= visible_from:
+            rows.append((visible_from, instance))
+        else:
+            # Only a shorter transfer_delay than an earlier row's lands
+            # out of order; after every row visible at the same tick.
+            insort(rows, (visible_from, instance), key=_visible_from)
         return True
 
     def __len__(self) -> int:

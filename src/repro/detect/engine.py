@@ -637,7 +637,10 @@ class DetectionEngine:
             if single:
                 pinned.pop(role, None)
 
-        yield from rec(0)
+        try:
+            yield from rec(0)
+        finally:
+            rec = None  # its closure cell refers back to it: break the cycle
 
     @staticmethod
     def _distinct(binding: Binding, spec: EventSpecification) -> bool:

@@ -211,8 +211,12 @@ class RoleIndex:
         """
         found = set(self._unlocated)
         entries = self._entries
+        # An entry exactly ``radius`` away can sit in the next cell over
+        # by float rounding; pad the sweep by EPS as covered_by does (the
+        # exact distance test below still decides).
+        reach = radius + EPS
         buckets = self._buckets_in(
-            point.x - radius, point.x + radius, point.y - radius, point.y + radius
+            point.x - reach, point.x + reach, point.y - reach, point.y + reach
         )
         if cache is None or anchor_key is None:
             for bucket in buckets:

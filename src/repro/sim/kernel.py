@@ -18,12 +18,17 @@ Design notes:
   cancelled entries are dropped lazily when popped.
 * :meth:`Simulator.every` installs a periodic process; the callback may
   return ``False`` to stop rescheduling itself.
+* A callback may carry several units of work scheduled together (the
+  event bus delivers a tick's consecutive publishes from one entry).
+  :attr:`Simulator.last_seq` tells its owner whether anything was
+  scheduled since, :attr:`Simulator.stopped` lets it honour a stop
+  between units, and :meth:`EventHandle.requeue` puts the unfinished
+  rest back at the entry's original position.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Callable
 
 from repro.core.errors import SchedulingError, SimulationError
@@ -51,29 +56,26 @@ PRIORITY_DEFAULT = 10
 
 
 class _QueueEntry:
-    """One heap node, ordered by a precomputed ``(tick, priority, seq)``.
+    """One scheduled callback; the heap orders it by a plain tuple.
 
-    A plain ``__slots__`` class comparing through one tuple key: heap
-    sifts do a single tuple comparison instead of the field-by-field
-    ``@dataclass(order=True)`` protocol, and the slots drop the
-    per-entry ``__dict__``.  ``popped`` marks entries that left the heap
-    so the simulator's live-entry counter never double-decrements when
-    a handle is cancelled after its callback already ran.
+    Heap items are ``(tick, priority, seq, entry)``: ``seq`` is unique,
+    so sifts compare tuples of ints and never reach the entry.
+    ``popped`` marks entries that left the heap so the simulator's
+    live-entry counter never double-decrements when a handle is
+    cancelled after its callback already ran.
     """
 
-    __slots__ = ("key", "tick", "callback", "cancelled", "popped")
+    __slots__ = ("tick", "priority", "seq", "callback", "cancelled", "popped")
 
     def __init__(
         self, tick: int, priority: int, seq: int, callback: Callable[[], None]
     ):
-        self.key = (tick, priority, seq)
         self.tick = tick
+        self.priority = priority
+        self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.popped = False
-
-    def __lt__(self, other: "_QueueEntry") -> bool:
-        return self.key < other.key
 
 
 class EventHandle:
@@ -99,6 +101,58 @@ class EventHandle:
         """Prevent the callback from running (idempotent)."""
         self._sim._cancel(self._entry)
 
+    def requeue(self) -> None:
+        """Queue a callback that already ran again, under its original
+        ``(tick, priority, seq)`` key.
+
+        For a callback that works through several units and stops part
+        way (a unit raised, or :meth:`Simulator.stop` was called): the
+        rest then runs exactly where separately scheduled units would
+        have, ahead of everything queued after the original entry.
+
+        Raises:
+            SimulationError: If the entry is still queued or cancelled.
+        """
+        entry = self._entry
+        if not entry.popped or entry.cancelled:
+            raise SimulationError(
+                "only a callback that already ran can be requeued"
+            )
+        entry.popped = False
+        self._sim._enqueue(entry)
+
+
+class _PeriodicHandle(EventHandle):
+    """Handle of an :meth:`Simulator.every` process.
+
+    The handle is the process: :meth:`_fire` runs the callback and
+    rebinds ``_entry`` to the next firing, so the inherited ``tick``,
+    ``cancelled`` and ``cancel`` always act on the live entry.
+    """
+
+    __slots__ = ("_callback", "_period", "_priority")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        callback: Callable[[], object],
+        period: int,
+        first: int,
+        priority: int,
+    ):
+        self._callback = callback
+        self._period = period
+        self._priority = priority
+        super().__init__(sim, sim._push(first, priority, self._fire))
+
+    def _fire(self) -> None:
+        if self._callback() is False or self._entry.cancelled:
+            return
+        sim = self._sim
+        self._entry = sim._push(
+            sim.tick + self._period, self._priority, self._fire
+        )
+
 
 class Simulator:
     """Discrete-event simulator with a deterministic run loop.
@@ -113,9 +167,10 @@ class Simulator:
 
         self.seed = seed
         self.rng = RngStreams(seed)
-        self._queue: list[_QueueEntry] = []
-        self._seq = itertools.count()
+        self._queue: list[tuple[int, int, int, _QueueEntry]] = []
+        self._next_seq = 0
         self._tick = 0
+        self._now = TimePoint(0)
         self._running = False
         self._stopped = False
         self._processed = 0
@@ -123,8 +178,19 @@ class Simulator:
 
     # -- queue accounting --------------------------------------------
 
-    def _push(self, entry: _QueueEntry) -> None:
-        heapq.heappush(self._queue, entry)
+    def _push(
+        self, tick: int, priority: int, callback: Callable[[], None]
+    ) -> _QueueEntry:
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        entry = _QueueEntry(tick, priority, seq, callback)
+        self._enqueue(entry)
+        return entry
+
+    def _enqueue(self, entry: _QueueEntry) -> None:
+        heapq.heappush(
+            self._queue, (entry.tick, entry.priority, entry.seq, entry)
+        )
         self._live += 1
 
     def _cancel(self, entry: _QueueEntry) -> None:
@@ -138,8 +204,12 @@ class Simulator:
 
     @property
     def now(self) -> TimePoint:
-        """Current simulation time as a :class:`TimePoint`."""
-        return TimePoint(self._tick)
+        """Current simulation time as a :class:`TimePoint` (one shared
+        instance per tick)."""
+        now = self._now
+        if now.tick != self._tick:
+            now = self._now = TimePoint(self._tick)
+        return now
 
     @property
     def tick(self) -> int:
@@ -184,9 +254,20 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at tick {tick}; current tick is {self._tick}"
             )
-        entry = _QueueEntry(tick, priority, next(self._seq), callback)
-        self._push(entry)
-        return EventHandle(self, entry)
+        return EventHandle(self, self._push(tick, priority, callback))
+
+    @property
+    def last_seq(self) -> int:
+        """Insertion sequence number of the most recently scheduled
+        entry (``-1`` before the first).
+
+        Entries at the same ``(tick, priority)`` run in ``seq`` order, so
+        a caller that remembers the seq of an entry it scheduled can
+        tell whether anything was scheduled after it: work it appends to
+        that entry then runs exactly where a separately scheduled entry
+        would have.
+        """
+        return self._next_seq - 1
 
     def every(
         self,
@@ -212,41 +293,7 @@ class Simulator:
         if period <= 0:
             raise SchedulingError(f"period must be positive, got {period}")
         first = self._tick + period if start is None else start
-        # A one-element list lets the closure rebind the live entry so
-        # the same handle keeps controlling future firings.
-        cell: list[_QueueEntry] = []
-
-        def fire() -> None:
-            result = callback()
-            if result is False or cell[0].cancelled:
-                return
-            entry = _QueueEntry(
-                self._tick + period, priority, next(self._seq), fire
-            )
-            cell[0] = entry
-            self._push(entry)
-
-        entry = _QueueEntry(first, priority, next(self._seq), fire)
-        cell.append(entry)
-        self._push(entry)
-
-        sim = self
-
-        class _PeriodicHandle(EventHandle):
-            __slots__ = ()
-
-            @property
-            def tick(self_inner) -> int:  # noqa: N805
-                return cell[0].tick
-
-            @property
-            def cancelled(self_inner) -> bool:  # noqa: N805
-                return cell[0].cancelled
-
-            def cancel(self_inner) -> None:  # noqa: N805
-                sim._cancel(cell[0])
-
-        return _PeriodicHandle(self, cell[0])
+        return _PeriodicHandle(self, callback, period, first, priority)
 
     # -- run loop ----------------------------------------------------
 
@@ -257,7 +304,7 @@ class Simulator:
             ``True`` if a callback ran, ``False`` if the queue is empty.
         """
         while self._queue:
-            entry = heapq.heappop(self._queue)
+            entry = heapq.heappop(self._queue)[3]
             entry.popped = True
             if entry.cancelled:
                 continue  # already uncounted by _cancel()
@@ -286,7 +333,7 @@ class Simulator:
         self._stopped = False
         try:
             while self._queue and not self._stopped:
-                next_tick = self._queue[0].tick
+                next_tick = self._queue[0][0]
                 if until is not None and next_tick > until:
                     self._tick = until
                     break
@@ -296,11 +343,22 @@ class Simulator:
                     self._tick = until
         finally:
             self._running = False
+            self._stopped = False
         return self._tick
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the active callback."""
         self._stopped = True
+
+    @property
+    def stopped(self) -> bool:
+        """Whether :meth:`stop` was called in the current :meth:`run`.
+
+        A callback that works through several units checks this between
+        them, so a stop lands after the active unit, not the whole
+        callback.
+        """
+        return self._stopped
 
     @property
     def pending(self) -> int:

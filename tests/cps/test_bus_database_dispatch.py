@@ -123,6 +123,114 @@ class TestEventBus:
             EventBus(Simulator(), latency=-1)
 
 
+class TestBatchedDelivery:
+    @staticmethod
+    def _bus(latency=1):
+        sim = Simulator()
+        bus = EventBus(sim, latency=latency)
+        got = []
+        for name in ("a", "b"):
+            bus.subscribe(name, lambda i, n=name: got.append((n, i.seq)))
+        return sim, bus, got
+
+    def test_publish_by_subscription_order_in_one_entry(self):
+        sim, bus, got = self._bus()
+        for seq in range(3):
+            bus.publish(instance(seq=seq))
+        sim.run()
+        assert got == [
+            ("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2),
+        ]
+        assert sim.events_processed == 1
+        assert bus.delivered_count == 6
+
+    def test_entry_scheduled_between_publishes_runs_between(self):
+        sim, bus, got = self._bus()
+        bus.publish(instance(seq=0))
+        sim.schedule(1, lambda: got.append(("marker", None)))
+        bus.publish(instance(seq=1))
+        sim.run()
+        assert got == [
+            ("a", 0), ("b", 0), ("marker", None), ("a", 1), ("b", 1),
+        ]
+
+    def test_publish_during_delivery_joins_running_batch(self):
+        sim = Simulator()
+        bus = EventBus(sim, latency=0)
+        got = []
+
+        def relay(i):
+            got.append(i.seq)
+            if i.seq == 0:
+                bus.publish(instance(seq=1))
+
+        bus.subscribe("relay", relay)
+        bus.subscribe("log", lambda i: got.append(("log", i.seq)))
+        bus.publish(instance(seq=0))
+        sim.run()
+        assert got == [0, ("log", 0), 1, ("log", 1)]
+        assert sim.events_processed == 1
+
+    def test_finished_batch_is_never_joined(self):
+        # Same due tick and nothing scheduled since: only the batch
+        # having run already keeps the second publish out of it.
+        sim, bus, got = self._bus(latency=0)
+        bus.publish(instance(seq=0))
+        sim.run()
+        bus.publish(instance(seq=1))
+        sim.run()
+        assert got == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
+        assert sim.events_processed == 2
+
+    def test_raising_subscriber_leaves_rest_queued(self):
+        sim = Simulator()
+        bus = EventBus(sim, latency=1)
+        got = []
+
+        def fragile(i):
+            if i.seq == 1 and not got.count(("boom", 1)):
+                got.append(("boom", 1))
+                raise RuntimeError("subscriber failed")
+            got.append(("fragile", i.seq))
+
+        bus.subscribe("fragile", fragile)
+        bus.subscribe("log", lambda i: got.append(("log", i.seq)))
+        for seq in range(3):
+            bus.publish(instance(seq=seq))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert got == [("fragile", 0), ("log", 0), ("boom", 1)]
+        assert bus.delivered_count == 3
+        sim.run()
+        assert got[3:] == [("log", 1), ("fragile", 2), ("log", 2)]
+        assert bus.delivered_count == 6
+
+    def test_stop_mid_batch_resumes_in_place(self):
+        sim = Simulator()
+        bus = EventBus(sim, latency=1)
+        got = []
+
+        def stopper(i):
+            got.append(("stopper", i.seq))
+            if i.seq == 0:
+                # Scheduled after the batch's entry: runs after the rest
+                # of the batch, as it would after separate entries.
+                sim.schedule(0, lambda: got.append(("later", None)))
+                sim.stop()
+
+        bus.subscribe("stopper", stopper)
+        bus.subscribe("log", lambda i: got.append(("log", i.seq)))
+        bus.publish(instance(seq=0))
+        bus.publish(instance(seq=1))
+        sim.run()
+        assert got == [("stopper", 0)]
+        sim.run()
+        assert got == [
+            ("stopper", 0), ("log", 0), ("stopper", 1), ("log", 1),
+            ("later", None),
+        ]
+
+
 class TestDatabaseServer:
     def test_store_and_query(self):
         sim = Simulator()
@@ -139,6 +247,19 @@ class TestDatabaseServer:
         assert db.store(instance(seq=0))
         assert not db.store(instance(seq=0))
         assert len(db) == 1
+
+    def test_mixed_transfer_delays_keep_query_order(self):
+        sim = Simulator()
+        db = DatabaseServer("DB1", sim)
+        stored = []
+        for seq, delay in enumerate([5, 5, 0, 9, 2, 5, 0, 9, 2]):
+            db.transfer_delay = delay
+            db.store(instance(seq=seq))
+            stored.append((delay, seq))
+        sim.run(until=20)
+        # Visibility order; equal visibility ticks keep arrival order.
+        expected = [seq for _, seq in sorted(stored, key=lambda row: row[0])]
+        assert [i.seq for i in db.query()] == expected
 
     def test_transfer_delay_hides_fresh_rows(self):
         sim = Simulator()

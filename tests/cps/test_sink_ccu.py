@@ -1,5 +1,7 @@
 """Unit tests for sink nodes and CPS control units."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.composite import all_of
@@ -27,9 +29,11 @@ from repro.core.spec import (
 )
 from repro.core.time_model import TimePoint
 from repro.cps.actions import ActionRule, ActuatorCommand
+from repro.cps.bus import EventBus
 from repro.cps.ccu import ControlUnit
 from repro.cps.sink import SinkNode
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceRecorder
 
 ORIGIN = PointLocation(0, 0)
 
@@ -263,3 +267,36 @@ class TestControlUnit:
         sim.run()
         assert len(ccu.emitted) == 1
         assert ccu.emitted[0].event_id == "meta"
+
+
+class TestControlUnitBusBatching:
+    def test_one_submit_batch_per_tick_of_bus_arrivals(self):
+        sim = Simulator()
+        trace = TraceRecorder()
+        bus = EventBus(sim, latency=1, trace=trace)
+        ccu = ControlUnit(
+            "CCU1", ORIGIN, sim, specs=[cyber_spec()], trace=trace
+        )
+        bus.subscribe("CCU1", ccu.receive_instance)
+        submits = []
+        submit_batch = ccu.engine.submit_batch
+
+        def counting(entities, now):
+            submits.append((now, len(entities)))
+            return submit_batch(entities, now)
+
+        ccu.engine.submit_batch = counting
+        k = 4
+        for seq in range(k):
+            bus.publish(replace(cp_instance(), seq=seq))
+        sim.schedule(3, lambda: bus.publish(replace(cp_instance(), seq=k)))
+        sim.run()
+        assert submits == [(1, k), (4, 1)]
+        assert len(ccu.emitted) == k + 1
+        # The CCU ingests after the whole delivery batch: every receive
+        # record of the tick precedes the emits it leads to.
+        records = trace.filtered(("ccu.receive", "instance.emit"))
+        categories = [r.category for r in records]
+        assert categories == ["ccu.receive"] * k + ["instance.emit"] * k + [
+            "ccu.receive", "instance.emit",
+        ]

@@ -1,5 +1,7 @@
 """Unit tests for the detection engine and instance construction."""
 
+import gc
+
 import pytest
 
 from repro.core.composite import all_of
@@ -571,3 +573,21 @@ class TestEngineStatsMerge:
                 getattr(engine.stats, field.name) for engine in engines
             )
             assert getattr(merged, field.name) == pytest.approx(expected), field.name
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("use_planner", [True, False])
+    def test_submit_batch_leaves_nothing_for_the_collector(self, use_planner):
+        engine = DetectionEngine([pair_spec()], use_planner=use_planner)
+        engine.submit_batch([obs(seq=0, tick=0)], 0)
+        batch = [
+            obs(mote=f"MT{i}", seq=i, tick=1, x=float(i)) for i in range(6)
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            matches = engine.submit_batch(batch, 1)
+            assert matches
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

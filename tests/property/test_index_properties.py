@@ -11,7 +11,7 @@ force over the same live population.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.instance import PhysicalObservation
 from repro.core.space_model import BoundingBox, Circle, PointLocation, Polygon
@@ -67,6 +67,8 @@ def _brute_covered(index, region):
 class TestNearMatchesBruteForce:
     @given(clouds(), coords, coords, radii)
     @settings(max_examples=120, deadline=None)
+    # Exactly ``radius`` away, but a rounding hair into the next cell.
+    @example(([_observation(0, 1.0, -1.07e-73)], 1.0), 1.0, 1.0, 1.0)
     def test_near_equals_brute_force(self, cloud, qx, qy, radius):
         entities, cell = cloud
         index = RoleIndex(cell)

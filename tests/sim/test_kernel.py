@@ -194,7 +194,7 @@ class TestPendingCounter:
 
     @staticmethod
     def _recount(sim):
-        return sum(1 for entry in sim._queue if not entry.cancelled)
+        return sum(1 for *_, entry in sim._queue if not entry.cancelled)
 
     def test_counter_tracks_schedule_cancel_and_run(self):
         sim = Simulator()
@@ -260,3 +260,79 @@ class TestQueueEntryOrdering:
         sim.schedule(2, lambda: order.append("early"))
         sim.run()
         assert order == ["early", "first-priority", "late"]
+
+
+class TestBatchHooks:
+    def test_last_seq_counts_every_schedule(self):
+        sim = Simulator()
+        assert sim.last_seq == -1
+        sim.schedule(1, lambda: None)
+        sim.every(5, lambda: None)
+        assert sim.last_seq == 1
+        sim.run(until=5)  # the periodic firing schedules its successor
+        assert sim.last_seq == 2
+
+    def test_requeue_reruns_at_the_original_position(self):
+        sim = Simulator()
+        order = []
+        runs = []
+
+        def resumable():
+            runs.append(sim.tick)
+            order.append(f"unit{len(runs)}")
+            if len(runs) == 1:
+                # Queued after the resumable entry: must still run after
+                # its remaining unit, as a separate later entry would.
+                sim.schedule(0, lambda: order.append("later"))
+                handle.requeue()
+                sim.stop()
+
+        handle = sim.schedule(2, resumable)
+        sim.schedule(2, lambda: order.append("queued-after"))
+        sim.run()
+        assert order == ["unit1"]
+        assert sim.pending == 3
+        sim.run()
+        assert order == ["unit1", "unit2", "queued-after", "later"]
+        assert runs == [2, 2]
+        assert sim.pending == 0
+
+    def test_requeue_rejects_queued_or_cancelled_entries(self):
+        sim = Simulator()
+        handle = sim.schedule(1, lambda: None)
+        with pytest.raises(SimulationError):
+            handle.requeue()
+        handle.cancel()
+        sim.run()
+        with pytest.raises(SimulationError):
+            handle.requeue()
+
+    def test_stopped_is_scoped_to_one_run(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1, lambda: (sim.stop(), seen.append(sim.stopped)))
+        sim.schedule(2, lambda: seen.append(sim.stopped))
+        sim.run()
+        assert seen == [True]
+        assert not sim.stopped
+        sim.run()
+        assert seen == [True, False]
+
+    def test_now_is_one_instance_per_tick(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(4, lambda: seen.append(sim.now))
+        sim.schedule(4, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen[0] is seen[1]
+        assert sim.now is seen[0]
+        sim.run(until=9)
+        assert sim.now == TimePoint(9)
+
+
+class TestPeriodicHandleIsShared:
+    def test_every_defines_no_class_per_call(self):
+        sim = Simulator()
+        first = sim.every(2, lambda: None)
+        second = sim.every(3, lambda: None)
+        assert type(first) is type(second)
