@@ -82,7 +82,11 @@ def confidence_of(entity: Entity) -> float:
 
 
 def entity_key(entity: Entity) -> object:
-    """A stable identifying key for provenance tracking."""
+    """A stable identifying key for provenance tracking.
+
+    Observations and instances return their stored ``key`` tuple itself,
+    so provenance and dedup entries share it instead of copying it.
+    """
     if isinstance(entity, (PhysicalObservation, EventInstance)):
         return entity.key
     if isinstance(entity, Event):
@@ -92,4 +96,4 @@ def entity_key(entity: Entity) -> object:
 
 def keys_of(entities: Iterable[Entity]) -> tuple:
     """Provenance keys for a collection of entities, in order."""
-    return tuple(entity_key(entity) for entity in entities)
+    return tuple([entity_key(entity) for entity in entities])

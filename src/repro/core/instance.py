@@ -74,13 +74,31 @@ class ObserverKind(enum.Enum):
 
 @dataclass(frozen=True, order=True)
 class ObserverId:
-    """Identifier ``OB_id`` of an observer (Definition 4.3)."""
+    """Identifier ``OB_id`` of an observer (Definition 4.3).
+
+    Every emitted instance's key and provenance carries one, and trace
+    rows name observers by its ``repr``; both the ``repr`` string and
+    the hash (equal to ``hash((kind, name))``) are computed once.
+    """
 
     kind: ObserverKind
     name: str
+    _repr: str = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_repr", f"{self.kind.value}:{self.name}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
-        return f"{self.kind.value}:{self.name}"
+        return self._repr
+
+    def __reduce__(self):
+        # Rebuild on unpickling: a string's hash differs per process.
+        return (ObserverId, (self.kind, self.name))
 
 
 @dataclass(frozen=True)
@@ -107,14 +125,13 @@ class PhysicalObservation:
     time: TimePoint
     location: PointLocation
     attributes: Mapping[str, object] = field(default_factory=dict)
+    key: tuple[str, str, int] = field(init=False, compare=False, repr=False)
+    """The identifying 3-tuple ``(MT_id, SR_id, i)``, built once: every
+    provenance and dedup reference to this observation shares it."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", freeze_attributes(self.attributes))
-
-    @property
-    def key(self) -> tuple[str, str, int]:
-        """The identifying 3-tuple ``(MT_id, SR_id, i)``."""
-        return (self.mote_id, self.sensor_id, self.seq)
+        object.__setattr__(self, "key", (self.mote_id, self.sensor_id, self.seq))
 
     @property
     def occurrence_time(self) -> TimePoint:
@@ -192,9 +209,14 @@ class EventInstance:
     confidence: float = 1.0
     layer: EventLayer = EventLayer.SENSOR
     sources: tuple = ()
+    key: tuple[ObserverId, str, int] = field(init=False, compare=False, repr=False)
+    """The identifying 3-tuple ``(OB_id, E_id, i)`` (Eq. 4.6), built once
+    (:meth:`with_seq` and ``dataclasses.replace`` rebuild it): a higher
+    observer's ``sources`` and the database's dedup set share it."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", freeze_attributes(self.attributes))
+        object.__setattr__(self, "key", (self.observer, self.event_id, self.seq))
         if not 0.0 <= self.confidence <= 1.0:
             raise ObserverError(
                 f"confidence rho must be in [0, 1], got {self.confidence}"
@@ -204,11 +226,6 @@ class EventInstance:
                 f"event instances exist only at layers {INSTANCE_LAYERS}, "
                 f"got {self.layer!r}"
             )
-
-    @property
-    def key(self) -> tuple[ObserverId, str, int]:
-        """The identifying 3-tuple ``(OB_id, E_id, i)`` (Eq. 4.6)."""
-        return (self.observer, self.event_id, self.seq)
 
     @property
     def occurrence_time(self) -> TemporalEntity:

@@ -38,7 +38,24 @@ from repro.shard.engine import ShardedDetectionEngine
 from repro.sim.kernel import PRIORITY_INGEST, Simulator
 from repro.sim.trace import TraceRecorder
 
-__all__ = ["CPSComponent", "ObserverComponent"]
+__all__ = ["CPSComponent", "ObserverComponent", "emit_payload"]
+
+
+def emit_payload(instance: EventInstance, layer_name: str) -> dict[str, object]:
+    """Payload of an ``instance.emit`` trace row.
+
+    Live observers and :class:`~repro.stream.replay.ReplayObserver`
+    render their rows through this one function, so a replayed row
+    equals the live one.  ``layer_name`` is the emitting observer's
+    layer name, which each observer reads once.
+    """
+    return {
+        "event_id": instance.event_id,
+        "seq": instance.seq,
+        "layer": layer_name,
+        "edl": instance.detection_latency,
+        "rho": instance.confidence,
+    }
 
 
 class CPSComponent:
@@ -117,6 +134,7 @@ class ObserverComponent(CPSComponent):
         super().__init__(name, location, sim, trace)
         self.observer_id = ObserverId(kind, name)
         self.layer = layer
+        self._layer_name = layer.name
         self.instance_cls = instance_cls
         if shards > 1:
             if shard_bounds is None:
@@ -218,16 +236,7 @@ class ObserverComponent(CPSComponent):
             instance_cls=self.instance_cls,
         )
         instance = self.refine_instance(instance, match)
-        self.emitted.append(instance)
-        self.record(
-            "instance.emit",
-            event_id=instance.event_id,
-            seq=instance.seq,
-            layer=instance.layer.name,
-            edl=instance.detection_latency,
-            rho=instance.confidence,
-        )
-        self.distribute(instance)
+        self.emit_direct(instance)
         return instance
 
     def refine_instance(
@@ -245,15 +254,9 @@ class ObserverComponent(CPSComponent):
 
         Used by components that build instances outside the binding
         engine — e.g. the mote's interval tracker — so distribution and
-        tracing stay uniform.
+        tracing stay uniform; the instance belongs to this observer's
+        layer, which its trace row names.
         """
         self.emitted.append(instance)
-        self.record(
-            "instance.emit",
-            event_id=instance.event_id,
-            seq=instance.seq,
-            layer=instance.layer.name,
-            edl=instance.detection_latency,
-            rho=instance.confidence,
-        )
+        self.record("instance.emit", **emit_payload(instance, self._layer_name))
         self.distribute(instance)

@@ -16,8 +16,8 @@ only once that delay has elapsed.
 
 from __future__ import annotations
 
-from bisect import insort
-from operator import itemgetter
+from bisect import bisect_right
+from itertools import islice
 from typing import Iterable
 
 from repro.core.errors import DatabaseError
@@ -28,8 +28,6 @@ from repro.core.time_model import TimeInterval, TimePoint
 from repro.sim.kernel import Simulator
 
 __all__ = ["DatabaseServer"]
-
-_visible_from = itemgetter(0)
 
 
 class DatabaseServer:
@@ -49,8 +47,10 @@ class DatabaseServer:
         self.name = name
         self.sim = sim
         self.transfer_delay = transfer_delay
-        # Rows: (visible_from_tick, instance); kept sorted by visibility.
-        self._rows: list[tuple[int, EventInstance]] = []
+        # Rows as two parallel lists (tick each becomes visible,
+        # instance), kept sorted by visibility.
+        self._visible_from: list[int] = []
+        self._instances: list[EventInstance] = []
         self._keys: set = set()
 
     # -- ingest --------------------------------------------------------
@@ -66,26 +66,26 @@ class DatabaseServer:
             return False
         self._keys.add(key)
         visible_from = self.sim.tick + self.transfer_delay
-        rows = self._rows
-        if not rows or rows[-1][0] <= visible_from:
-            rows.append((visible_from, instance))
+        ticks = self._visible_from
+        if not ticks or ticks[-1] <= visible_from:
+            ticks.append(visible_from)
+            self._instances.append(instance)
         else:
             # Only a shorter transfer_delay than an earlier row's lands
             # out of order; after every row visible at the same tick.
-            insort(rows, (visible_from, instance), key=_visible_from)
+            at = bisect_right(ticks, visible_from)
+            ticks.insert(at, visible_from)
+            self._instances.insert(at, instance)
         return True
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._instances)
 
     # -- queries -------------------------------------------------------
 
     def _visible(self) -> Iterable[EventInstance]:
-        now = self.sim.tick
-        for visible_from, instance in self._rows:
-            if visible_from > now:
-                break
-            yield instance
+        visible = bisect_right(self._visible_from, self.sim.tick)
+        return islice(self._instances, visible)
 
     def query(
         self,

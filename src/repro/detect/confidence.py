@@ -17,11 +17,13 @@ this substitution.  We provide:
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.core.errors import ConditionError
 
-__all__ = ["confidence_from_margin", "fuse", "FUSION_METHODS"]
+__all__ = [
+    "confidence_from_margin", "fuse", "fuse_with", "fusion_rule", "FUSION_METHODS",
+]
 
 
 def confidence_from_margin(measured: float, threshold: float, sigma: float) -> float:
@@ -74,6 +76,37 @@ FUSION_METHODS = {
 """Available fusion rules, keyed by the OutputPolicy name."""
 
 
+def fusion_rule(method: str) -> Callable[[list[float]], float]:
+    """The combination rule of one fusion method, for :func:`fuse_with`.
+
+    Raises:
+        ConditionError: If ``method`` is not a known fusion rule.
+    """
+    try:
+        return FUSION_METHODS[method]
+    except KeyError:
+        raise ConditionError(
+            f"unknown fusion method {method!r}; known: {sorted(FUSION_METHODS)}"
+        ) from None
+
+
+def fuse_with(
+    rule: Callable[[list[float]], float], confidences: Iterable[float]
+) -> float:
+    """:func:`fuse` with the rule already resolved by :func:`fusion_rule`.
+
+    An instance builder resolves its policy's rule once and fuses every
+    match through this.
+    """
+    values = [float(v) for v in confidences]
+    if not values:
+        raise ConditionError("cannot fuse zero confidences")
+    bad = [v for v in values if not 0.0 <= v <= 1.0]
+    if bad:
+        raise ConditionError(f"confidences outside [0, 1]: {bad}")
+    return min(1.0, max(0.0, rule(values)))
+
+
 def fuse(method: str, confidences: Iterable[float]) -> float:
     """Combine input confidences into the emitted instance's ``rho``.
 
@@ -84,16 +117,4 @@ def fuse(method: str, confidences: Iterable[float]) -> float:
     Returns:
         The fused confidence, clamped to ``[0, 1]``.
     """
-    values = [float(v) for v in confidences]
-    if not values:
-        raise ConditionError("cannot fuse zero confidences")
-    bad = [v for v in values if not 0.0 <= v <= 1.0]
-    if bad:
-        raise ConditionError(f"confidences outside [0, 1]: {bad}")
-    try:
-        rule = FUSION_METHODS[method]
-    except KeyError:
-        raise ConditionError(
-            f"unknown fusion method {method!r}; known: {sorted(FUSION_METHODS)}"
-        ) from None
-    return min(1.0, max(0.0, rule(values)))
+    return fuse_with(fusion_rule(method), confidences)

@@ -43,9 +43,9 @@ Evaluation properties worth knowing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.conditions import Binding
 from repro.core.entity import (
@@ -64,16 +64,16 @@ from repro.core.errors import (
 )
 from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId
-from repro.core.space_model import PointLocation, SpatialEntity
+from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
-from repro.core.time_model import TemporalEntity, TimePoint
+from repro.core.time_model import TimePoint
 from repro.core.aggregates import space_aggregate, time_aggregate, value_aggregate
 from repro.detect.compiler import (
     CompiledCondition,
     PredicateCache,
     compile_condition,
 )
-from repro.detect.confidence import fuse
+from repro.detect.confidence import fuse_with, fusion_rule
 from repro.detect.index import DEFAULT_CELL_SIZE, RoleIndex
 from repro.detect.planner import EvaluationPlan, compile_plan
 from repro.detect.windows import TickWindow
@@ -83,17 +83,25 @@ __all__ = [
     "EngineStats",
     "EngineSnapshot",
     "DetectionEngine",
+    "InstanceBuilder",
     "build_instance",
 ]
 
 
 @dataclass(frozen=True)
 class Match:
-    """One satisfied binding of a specification."""
+    """One satisfied binding of a specification.
+
+    ``builder`` is the engine's compiled output policy for ``spec``
+    (:class:`InstanceBuilder`), which :func:`build_instance` runs.
+    """
 
     spec: EventSpecification
     binding: Mapping[str, Entity | tuple[Entity, ...]]
     tick: int
+    builder: InstanceBuilder | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def entities(self) -> list[Entity]:
         """All bound entities, groups flattened, in ``spec.roles`` order.
@@ -289,6 +297,7 @@ class DetectionEngine:
         self._last_match: dict[str, int] = {}
         self._plans: dict[str, EvaluationPlan] = {}
         self._compiled: dict[str, CompiledCondition] = {}
+        self._builders: dict[str, InstanceBuilder] = {}
         self._indexes: dict[str, dict[str, RoleIndex]] = {}
         self._cache = PredicateCache()
         self._watermark: int | None = None
@@ -511,6 +520,7 @@ class DetectionEngine:
         # (memoized predicates, pre-resolved operators); the naive path
         # keeps interpreting the raw tree as the differential baseline.
         evaluator = self._compiled[spec.event_id].fn if self.use_planner else None
+        builder = self._builders.get(spec.event_id)
         matches: list[Match] = []
         cooling = False
         for target_role in candidate_roles:
@@ -534,9 +544,15 @@ class DetectionEngine:
                     self.stats.evaluation_errors += 1
                     continue
                 if holds:
+                    if builder is None:
+                        # Compiled at the spec's first match rather than
+                        # at install: an observer whose specs never match
+                        # (23 of the 101 in high_density medium) never pays.
+                        builder = InstanceBuilder(spec)
+                        self._builders[spec.event_id] = builder
                     seen[key] = now
                     self.stats.matches += 1
-                    matches.append(Match(spec, binding, now))
+                    matches.append(Match(spec, binding, now, builder))
                     self._last_match[spec.event_id] = now
                     if spec.cooldown:
                         # Entering cooldown suppresses the rest of THIS
@@ -803,16 +819,98 @@ class DetectionEngine:
 # instance construction (Eq. 4.7 via the OutputPolicy)
 # ----------------------------------------------------------------------
 
-def _estimate_time(policy_time: str, entities: Sequence[Entity]) -> TemporalEntity:
-    times = [e.occurrence_time for e in entities]
-    return time_aggregate(policy_time)(times)
+def _recipe_aggregate(name: str) -> Callable[[list[float]], float]:
+    try:
+        return value_aggregate(name)
+    except ConditionError:
+        # Unknown when compiled: look it up per build, so the error
+        # still surfaces after the recipe's values are read, and a later
+        # register_value_aggregate is honoured.
+        return lambda values: value_aggregate(name)(values)
 
 
-def _estimate_location(
-    policy_space: str, entities: Sequence[Entity]
-) -> SpatialEntity:
-    locations = [e.occurrence_location for e in entities]
-    return space_aggregate(policy_space)(locations)
+class InstanceBuilder:
+    """A specification's :class:`~repro.core.spec.OutputPolicy`, compiled.
+
+    The time aggregate, space aggregate, fusion rule and attribute
+    recipes are looked up once per engine and specification (at its
+    first match), the way :func:`~repro.detect.compiler.compile_condition`
+    lowers the condition tree at install; calling the builder only reads
+    the bound entities.  Values, evaluation order, error classes and
+    messages are those :func:`build_instance` documents.
+    """
+
+    __slots__ = (
+        "event_id", "estimate_time", "identity_space", "estimate_location",
+        "fusion", "recipes",
+    )
+
+    def __init__(self, spec: EventSpecification):
+        policy = spec.output
+        self.event_id = spec.event_id
+        self.estimate_time = time_aggregate(policy.time)
+        self.identity_space = policy.space == "location"
+        self.estimate_location = space_aggregate(
+            "centroid" if self.identity_space else policy.space
+        )
+        self.fusion = fusion_rule(policy.confidence)
+        self.recipes = tuple([
+            (recipe.name, recipe.terms, _recipe_aggregate(recipe.aggregate))
+            for recipe in policy.attributes
+        ])
+
+    def __call__(
+        self,
+        match: Match,
+        observer: ObserverId,
+        seq: int,
+        generated_time: TimePoint,
+        generated_location: PointLocation,
+        layer: EventLayer,
+        instance_cls: type[EventInstance],
+    ) -> EventInstance:
+        binding = match.binding
+        entities = match.entities()
+        attributes: dict[str, object] = {}
+        for name, terms, aggregate in self.recipes:
+            values: list[float] = []
+            for term in terms:
+                bound = binding.get(term.role)
+                if bound is None:
+                    raise ObserverError(
+                        f"output attribute {name!r} references unbound "
+                        f"role {term.role!r}"
+                    )
+                if isinstance(bound, tuple):
+                    values.extend(
+                        numeric_attribute(e, term.attribute) for e in bound
+                    )
+                else:
+                    values.append(numeric_attribute(bound, term.attribute))
+            attributes[name] = aggregate(values)
+
+        rho = fuse_with(self.fusion, [confidence_of(e) for e in entities])
+        if self.identity_space and len(entities) <= 1:
+            estimated_location = entities[0].occurrence_location
+        else:
+            estimated_location = self.estimate_location(
+                [e.occurrence_location for e in entities]
+            )
+        return instance_cls(
+            observer=observer,
+            event_id=self.event_id,
+            seq=seq,
+            generated_time=generated_time,
+            generated_location=generated_location,
+            estimated_time=self.estimate_time(
+                [e.occurrence_time for e in entities]
+            ),
+            estimated_location=estimated_location,
+            attributes=attributes,
+            confidence=rho,
+            layer=layer,
+            sources=keys_of(entities),
+        )
 
 
 def build_instance(
@@ -829,7 +927,10 @@ def build_instance(
     Applies the specification's :class:`~repro.core.spec.OutputPolicy`:
     ``t_eo`` from the policy's time aggregate over the bound entities,
     ``l_eo`` from its space aggregate, output attributes from their
-    recipes, and ``rho`` by fusing the inputs' confidences.
+    recipes, and ``rho`` by fusing the inputs' confidences.  Runs the
+    builder the engine compiled for the match's specification
+    (:class:`InstanceBuilder`; a hand-built :class:`Match` without one
+    compiles it here).
 
     Args:
         match: The satisfied binding.
@@ -841,41 +942,8 @@ def build_instance(
         instance_cls: Concrete instance class
             (:class:`~repro.core.instance.SensorEventInstance`, ...).
     """
-    spec = match.spec
-    entities = match.entities()
-    policy = spec.output
-
-    attributes: dict[str, object] = {}
-    for recipe in policy.attributes:
-        values: list[float] = []
-        for term in recipe.terms:
-            bound = match.binding.get(term.role)
-            if bound is None:
-                raise ObserverError(
-                    f"output attribute {recipe.name!r} references unbound "
-                    f"role {term.role!r}"
-                )
-            group = bound if isinstance(bound, tuple) else (bound,)
-            values.extend(numeric_attribute(e, term.attribute) for e in group)
-        attributes[recipe.name] = value_aggregate(recipe.aggregate)(values)
-
-    rho = fuse(policy.confidence, [confidence_of(e) for e in entities])
-    space_policy = "centroid" if policy.space == "location" and len(entities) > 1 else policy.space
-    if space_policy == "location":
-        estimated_location = entities[0].occurrence_location
-    else:
-        estimated_location = _estimate_location(space_policy, entities)
-
-    return instance_cls(
-        observer=observer,
-        event_id=spec.event_id,
-        seq=seq,
-        generated_time=generated_time,
-        generated_location=generated_location,
-        estimated_time=_estimate_time(policy.time, entities),
-        estimated_location=estimated_location,
-        attributes=attributes,
-        confidence=rho,
-        layer=layer,
-        sources=keys_of(entities),
+    build = match.builder or InstanceBuilder(match.spec)
+    return build(
+        match, observer, seq, generated_time, generated_location, layer,
+        instance_cls,
     )

@@ -6,6 +6,20 @@ them back with simple filters.  Records are plain data (tick, category,
 source, payload) so traces can be asserted on in tests and dumped for
 inspection without any custom tooling.
 
+Storage: a live run records one row per sample, delivery and emission,
+so a recorder keeps its rows in one flat list of plain values rather
+than as record objects.  A row is ``tick, category, source, keys``
+followed by ``len(keys)`` payload values, where ``keys`` is one tuple
+shared by every row with the same payload field names.  A row whose
+payload values are atomic (numbers, strings, enums) therefore leaves no
+container object behind for the cyclic garbage collector to traverse.
+:class:`TraceRecord` objects are built when a row is read (iteration,
+the filters, :meth:`TraceRecorder.digest`, :meth:`TraceRecorder.to_jsonl`);
+:meth:`TraceRecorder.record` builds one for its return value and its
+listeners.  Each read builds fresh records and ``payload`` dicts, so
+changing one changes nothing the recorder holds; payload values are
+stored by reference, not copied, and are read-only.
+
 Record/replay: :func:`to_jsonl` serializes records to a *canonical* JSON
 Lines form (sorted keys, compact separators, shortest-roundtrip floats,
 enums by qualified name, exotic objects by ``repr``) and
@@ -25,7 +39,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 __all__ = [
     "TraceRecord",
@@ -40,9 +54,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One traced occurrence inside the simulation."""
+    """One traced occurrence inside the simulation.
+
+    A plain value: the recorder builds a new record from its stored row
+    on every read, so changing a record changes nothing it holds.
+    """
 
     tick: int
     category: str
@@ -54,11 +72,18 @@ class TraceRecord:
         return self.payload.get(key, default)
 
 
+_TICK, _CATEGORY, _SOURCE, _KEYS = range(4)
+"""Offsets of a row's fixed fields; its payload values follow ``_KEYS``."""
+
+
 class TraceRecorder:
     """Append-only in-memory trace with category filters and listeners."""
 
     def __init__(self):
-        self._records: list[TraceRecord] = []
+        # Flat rows: tick, category, source, keys, one value per key.
+        self._rows: list = []
+        self._len = 0
+        self._shapes: dict[tuple, tuple] = {}
         self._listeners: list[Callable[[TraceRecord], None]] = []
 
     def record(
@@ -69,44 +94,80 @@ class TraceRecorder:
         **payload: object,
     ) -> TraceRecord:
         """Append a record and notify listeners."""
-        rec = TraceRecord(tick, category, source, dict(payload))
-        self._records.append(rec)
+        self._append(tick, category, source, payload)
+        rec = TraceRecord(tick, category, source, payload)
         for listener in self._listeners:
             listener(rec)
         return rec
+
+    def _append(
+        self, tick: int, category: str, source: str, payload: Mapping
+    ) -> None:
+        keys = tuple(payload)
+        rows = self._rows
+        rows.extend((tick, category, source, self._shapes.setdefault(keys, keys)))
+        rows.extend(payload.values())
+        self._len += 1
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Call ``listener`` for every future record."""
         self._listeners.append(listener)
 
+    def _spans(
+        self, field_at: int | None = None, accept: Container = ()
+    ) -> Iterator[tuple[int, int]]:
+        """``(start, end)`` offsets of the rows whose field at
+        ``field_at`` is in ``accept``; every row when ``field_at`` is
+        ``None``."""
+        rows = self._rows
+        at = 0
+        while at < len(rows):
+            end = at + _KEYS + 1 + len(rows[at + _KEYS])
+            if field_at is None or rows[at + field_at] in accept:
+                yield at, end
+            at = end
+
+    def _select(
+        self, field_at: int | None = None, accept: Container = ()
+    ) -> Iterator[TraceRecord]:
+        """The selected rows (see :meth:`_spans`), built as records."""
+        rows = self._rows
+        for at, end in self._spans(field_at, accept):
+            yield TraceRecord(
+                rows[at + _TICK],
+                rows[at + _CATEGORY],
+                rows[at + _SOURCE],
+                dict(zip(rows[at + _KEYS], rows[at + _KEYS + 1:end])),
+            )
+
     def __len__(self) -> int:
-        return len(self._records)
+        return self._len
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return self._select()
 
     def by_category(self, category: str) -> list[TraceRecord]:
         """All records with the given category, in time order."""
-        return [r for r in self._records if r.category == category]
+        return list(self._select(_CATEGORY, (category,)))
 
     def by_source(self, source: str) -> list[TraceRecord]:
         """All records from the given source, in time order."""
-        return [r for r in self._records if r.source == source]
+        return list(self._select(_SOURCE, (source,)))
 
     def count(self, category: str | None = None) -> int:
         """Number of records (optionally of one category)."""
         if category is None:
-            return len(self._records)
-        return sum(1 for r in self._records if r.category == category)
+            return self._len
+        return sum(1 for _ in self._spans(_CATEGORY, (category,)))
 
     def filtered(self, categories: Iterable[str]) -> list[TraceRecord]:
         """All records whose category is in ``categories``, in time order."""
-        wanted = frozenset(categories)
-        return [r for r in self._records if r.category in wanted]
+        return list(self._select(_CATEGORY, frozenset(categories)))
 
     def clear(self) -> None:
         """Drop all records (listeners stay subscribed)."""
-        self._records.clear()
+        self._rows.clear()
+        self._len = 0
 
     def replay(self, records: Iterable[TraceRecord]) -> None:
         """Append pre-built records (a loaded trace), notifying listeners.
@@ -116,19 +177,22 @@ class TraceRecorder:
         run.
         """
         for rec in records:
-            self._records.append(rec)
+            self._append(rec.tick, rec.category, rec.source, rec.payload)
             for listener in self._listeners:
                 listener(rec)
 
+    def _records(self, categories: Iterable[str] | None) -> Iterator[TraceRecord]:
+        if categories is None:
+            return self._select()
+        return self._select(_CATEGORY, frozenset(categories))
+
     def to_jsonl(self, categories: Iterable[str] | None = None) -> str:
         """Canonical JSON Lines serialization of the (filtered) trace."""
-        records = self._records if categories is None else self.filtered(categories)
-        return to_jsonl(records)
+        return to_jsonl(self._records(categories))
 
     def digest(self, categories: Iterable[str] | None = None) -> str:
         """Stable SHA-256 fingerprint of the (filtered) trace."""
-        records = self._records if categories is None else self.filtered(categories)
-        return trace_digest(records)
+        return trace_digest(self._records(categories))
 
 
 # ----------------------------------------------------------------------

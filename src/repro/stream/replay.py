@@ -29,6 +29,7 @@ from repro.core.instance import EventInstance, ObserverId
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EventSpecification
 from repro.core.time_model import TimePoint
+from repro.cps.component import emit_payload
 from repro.detect.engine import DetectionEngine, Match, build_instance
 from repro.detect.index import DEFAULT_CELL_SIZE
 from repro.shard.engine import ShardedDetectionEngine
@@ -186,6 +187,7 @@ class ReplayObserver:
             telemetry=self.telemetry,
         )
         self._seq: dict[str, int] = {}
+        self._layer_name = profile.layer.name
 
     # -- feeding -------------------------------------------------------
 
@@ -234,13 +236,7 @@ class ReplayObserver:
                 match.tick,
                 "instance.emit",
                 profile.name,
-                {
-                    "event_id": instance.event_id,
-                    "seq": instance.seq,
-                    "layer": instance.layer.name,
-                    "edl": instance.detection_latency,
-                    "rho": instance.confidence,
-                },
+                emit_payload(instance, self._layer_name),
             )
         )
 

@@ -1,5 +1,8 @@
 """Unit tests for observations and event instances (Defs 4.3-4.4)."""
 
+import pickle
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.core.errors import ObserverError
@@ -149,3 +152,56 @@ class TestObserverId:
         b = ObserverId(ObserverKind.SENSOR_MOTE, "B")
         assert repr(a) == "mote:A"
         assert a < b
+
+    def test_hash_repr_and_order_computed_once(self):
+        a = ObserverId(ObserverKind.SINK_NODE, "S1")
+        assert hash(a) == hash((ObserverKind.SINK_NODE, "S1"))
+        assert repr(a) is repr(a)
+        twin = ObserverId(ObserverKind.SINK_NODE, "S1")
+        assert a == twin and hash(a) == hash(twin)
+        assert {a: 1}[twin] == 1
+        names = [ObserverId(ObserverKind.CCU, n) for n in ("C", "A", "B")]
+        assert [o.name for o in sorted(names)] == ["A", "B", "C"]
+        assert a != ObserverId(ObserverKind.CCU, "S1")
+
+    def test_unpickling_recomputes_the_cached_hash(self):
+        a = ObserverId(ObserverKind.SINK_NODE, "S1")
+        object.__setattr__(a, "_hash", 12345)  # as if hashed elsewhere
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and repr(b) == "sink:S1"
+        assert hash(b) == hash((ObserverKind.SINK_NODE, "S1"))
+
+
+def _key_field(cls):
+    [key] = [f for f in fields(cls) if f.name == "key"]
+    return key
+
+
+class TestStoredKeys:
+    def test_observation_key_stored_and_recomputed(self):
+        obs = observation(seq=4)
+        assert obs.key is obs.key
+        assert replace(obs, seq=7).key == ("MT1", "SR1", 7)
+
+    def test_instance_key_recomputed_by_with_seq_and_replace(self):
+        inst = instance(seq=1)
+        assert inst.key is inst.key
+        assert inst.with_seq(5).key == (MOTE, "hot", 5)
+        assert replace(inst, event_id="cold").key == (MOTE, "cold", 1)
+
+    @pytest.mark.parametrize("cls", [PhysicalObservation, EventInstance])
+    def test_key_outside_eq_hash_and_repr(self, cls):
+        key = _key_field(cls)
+        assert not key.init and not key.compare and not key.repr
+        assert key.hash is None  # follows compare: left out of __hash__
+
+    def test_key_takes_no_part_in_equality_or_repr(self):
+        inst, twin = instance(), instance()
+        object.__setattr__(twin, "key", ("someone", "else", 9))
+        assert inst == twin
+        assert repr(inst) == repr(twin)
+        obs, other = observation(), observation()
+        object.__setattr__(other, "key", ("MT9", "SR9", 9))
+        assert obs == other
+        assert repr(obs) == repr(other)
+

@@ -261,6 +261,19 @@ class TestDatabaseServer:
         expected = [seq for _, seq in sorted(stored, key=lambda row: row[0])]
         assert [i.seq for i in db.query()] == expected
 
+    def test_dedup_and_visibility_under_mixed_transfer_delay(self):
+        sim = Simulator()
+        db = DatabaseServer("DB1", sim)
+        stored = []
+        for seq, delay in [(0, 5), (1, 0), (0, 0), (2, 3), (1, 9), (3, 3)]:
+            db.transfer_delay = delay
+            stored.append(db.store(instance(seq=seq)))
+        assert stored == [True, True, False, True, False, True]
+        assert len(db) == 4
+        for tick, visible in [(0, [1]), (3, [1, 2, 3]), (5, [1, 2, 3, 0])]:
+            sim.run(until=tick)
+            assert [i.seq for i in db.query()] == visible
+
     def test_transfer_delay_hides_fresh_rows(self):
         sim = Simulator()
         db = DatabaseServer("DB1", sim, transfer_delay=10)

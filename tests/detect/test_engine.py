@@ -13,7 +13,7 @@ from repro.core.conditions import (
     TemporalMeasureCondition,
     TimeOf,
 )
-from repro.core.errors import ObserverError
+from repro.core.errors import ConditionError, ObserverError
 from repro.core.event import EventLayer
 from repro.core.instance import (
     ObserverId,
@@ -459,6 +459,62 @@ class TestBuildInstance:
             EventLayer.SENSOR,
         )
         assert instance.attribute("temp") == 77.0
+
+    def _hot_with_recipe(self, recipe):
+        spec = hot_spec()
+        object.__setattr__(spec, "output", OutputPolicy(attributes=(recipe,)))
+        engine = DetectionEngine([spec])  # installing compiles; must not raise
+        return engine.submit(obs(temp=77.0), now=0)[0]
+
+    def test_unknown_recipe_aggregate_raises_when_building(self):
+        match = self._hot_with_recipe(
+            OutputAttribute("temp", "bogus", (AttributeTerm("x", "temp"),))
+        )
+        with pytest.raises(ConditionError, match="unknown value aggregate 'bogus'"):
+            build_instance(
+                match, MOTE, 0, TimePoint(0), PointLocation(0, 0),
+                EventLayer.SENSOR,
+            )
+
+    def test_unbound_recipe_role_raises_observer_error(self):
+        match = self._hot_with_recipe(
+            OutputAttribute("temp", "last", (AttributeTerm("y", "temp"),))
+        )
+        with pytest.raises(
+            ObserverError,
+            match="output attribute 'temp' references unbound role 'y'",
+        ):
+            build_instance(
+                match, MOTE, 0, TimePoint(0), PointLocation(0, 0),
+                EventLayer.SENSOR,
+            )
+
+
+class TestSharedIdentityKeys:
+    def test_sources_are_the_bound_entities_keys(self):
+        # No key tuple is rebuilt between submit_batch and build_instance:
+        # provenance holds the very tuples the observations carry.
+        engine = DetectionEngine([pair_spec(window=50)])
+        first = obs("MT1", seq=0, tick=1, x=0.0)
+        second = obs("MT2", seq=1, tick=5, x=4.0)
+        engine.submit_batch([first], 1)
+        [match] = engine.submit_batch([second], 5)
+        instance = build_instance(
+            match, MOTE, 0, TimePoint(6), PointLocation(0, 0),
+            EventLayer.SENSOR,
+        )
+        assert instance.sources == (first.key, second.key)
+        assert instance.sources[0] is first.key
+        assert instance.sources[1] is second.key
+
+    def test_builder_compiled_once_per_spec(self):
+        engine = DetectionEngine([pair_spec(window=50)])
+        engine.submit(obs("MT1", seq=0, tick=1), now=1)
+        engine.submit(obs("MT2", seq=1, tick=2, x=1.0), now=2)
+        matches = engine.submit(obs("MT3", seq=2, tick=3, x=2.0), now=3)
+        assert len(matches) == 2
+        assert matches[0].builder is not None
+        assert matches[0].builder is matches[1].builder
 
 
 class TestMatchEntityOrder:

@@ -1,6 +1,7 @@
 """Unit tests for trace recording, serialization and summary statistics."""
 
 import enum
+import gc
 import json
 
 import pytest
@@ -58,6 +59,45 @@ class TestTraceRecorder:
         assert len(trace) == 0
         trace.record(2, "b", "y")
         assert len(seen) == 2
+
+
+class TestFlatStorage:
+    def test_atomic_rows_leave_no_tracked_objects(self):
+        trace = TraceRecorder()
+        trace.record(0, "sample.ok", "MT0", sensor="SRt", value=0.5, seq=0)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            for i in range(10_000):
+                trace.record(
+                    i, "sample.ok", "MT1", sensor="SRt", value=20.5 + i, seq=i
+                )
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(trace) == 10_001
+        assert grown < 100
+
+    def test_rows_of_one_shape_share_their_key_tuple(self):
+        trace = TraceRecorder()
+        trace.record(1, "a", "x", value=1, seq=0)
+        trace.record(2, "b", "y", value=2, seq=1)
+        trace.record(3, "c", "z", seq=2)
+        # Rows are tick, category, source, keys, then one value per key.
+        first, second, third = (trace._rows[at] for at in (3, 9, 15))
+        assert first == ("value", "seq") and second is first
+        assert third == ("seq",)
+        assert [r.payload for r in trace] == [
+            {"value": 1, "seq": 0}, {"value": 2, "seq": 1}, {"seq": 2},
+        ]
+
+    def test_record_payload_is_not_copied(self):
+        trace = TraceRecorder()
+        hops = [1, 2]
+        rec = trace.record(1, "net.deliver", "MT1", hops=hops)
+        assert rec.payload["hops"] is hops
+        assert next(iter(trace)).payload["hops"] is hops
 
 
 class _Color(enum.Enum):
